@@ -22,6 +22,6 @@ pub use columnar::{Column, ColumnData, ColumnarBatch, NullBitmap};
 pub use clock::SimClock;
 pub use deadline::{CancelToken, Deadline, Priority};
 pub use error::{EiiError, Result};
-pub use row::Row;
+pub use row::{Row, RowRef};
 pub use schema::{DataType, Field, Schema, SchemaRef};
 pub use value::Value;

@@ -134,8 +134,8 @@ macro_rules! row {
     };
 }
 
-/// Cheap shared handle to a row, used where many operators hold the same
-/// tuple (e.g. join build sides).
+/// Cheap shared handle to a row, used where several owners hold the same
+/// tuple (a table slot and the change-log entry that wrote it).
 pub type RowRef = Arc<Row>;
 
 #[cfg(test)]

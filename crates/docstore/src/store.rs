@@ -15,6 +15,8 @@ use crate::tokenize::tokenize_text;
 struct Inner {
     docs: BTreeMap<DocId, Document>,
     next_id: DocId,
+    /// Bumped by every change to `docs`.
+    generation: u64,
     /// token -> set of documents containing it (kept incrementally).
     keyword_index: HashMap<String, HashSet<DocId>>,
 }
@@ -39,6 +41,7 @@ impl DocStore {
     pub fn insert(&self, mut doc: Document) -> DocId {
         let mut inner = self.inner.write();
         inner.next_id += 1;
+        inner.generation += 1;
         let id = inner.next_id;
         doc.id = id;
         let text = format!("{} {}", doc.title, doc.root.full_text());
@@ -64,12 +67,20 @@ impl DocStore {
         let mut inner = self.inner.write();
         let existed = inner.docs.remove(&id).is_some();
         if existed {
+            inner.generation += 1;
             for set in inner.keyword_index.values_mut() {
                 set.remove(&id);
             }
             inner.keyword_index.retain(|_, s| !s.is_empty());
         }
         existed
+    }
+
+    /// The store's version: it changes whenever a document is inserted or
+    /// removed, so anything derived from the documents (a virtual table's
+    /// statistics, say) stays valid while the generation does.
+    pub fn generation(&self) -> u64 {
+        self.inner.read().generation
     }
 
     /// Number of documents.
@@ -188,6 +199,19 @@ mod tests {
         assert_eq!(s.keyword_search("acme").len(), 2);
         assert!(s.keyword_search("").is_empty());
         assert!(s.keyword_search("ghost").is_empty());
+    }
+
+    #[test]
+    fn generation_moves_with_every_change() {
+        let s = DocStore::new();
+        let g0 = s.generation();
+        let id = s.insert(Document::from_text("memo", "x"));
+        let g1 = s.generation();
+        assert!(g1 > g0, "insert bumps the generation");
+        assert!(!s.remove(id + 1));
+        assert_eq!(s.generation(), g1, "removing nothing changes nothing");
+        assert!(s.remove(id));
+        assert!(s.generation() > g1, "remove bumps the generation");
     }
 
     #[test]

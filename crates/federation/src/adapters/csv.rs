@@ -22,6 +22,8 @@ use crate::dialect::Dialect;
 struct CsvTable {
     schema: SchemaRef,
     rows: Vec<Row>,
+    /// Computed once at load: files are immutable afterwards.
+    stats: TableStats,
 }
 
 /// A wrapped directory of delimited files.
@@ -93,8 +95,15 @@ impl CsvConnector {
                 .collect();
             rows.push(row);
         }
-        let table = table.into();
-        self.tables.insert(table, CsvTable { schema, rows });
+        let stats = TableStats::analyze(schema.len(), rows.iter());
+        self.tables.insert(
+            table.into(),
+            CsvTable {
+                schema,
+                rows,
+                stats,
+            },
+        );
         Ok(self)
     }
 
@@ -129,8 +138,7 @@ impl Connector for CsvConnector {
     }
 
     fn statistics(&self, table: &str) -> Result<TableStats> {
-        let t = self.table(table)?;
-        Ok(TableStats::analyze(t.schema.len(), t.rows.iter()))
+        Ok(self.table(table)?.stats.clone())
     }
 
     fn execute(&self, query: &SourceQuery) -> Result<SourceAnswer> {
@@ -221,5 +229,17 @@ mod tests {
         let s = c.statistics("payments").unwrap();
         assert_eq!(s.row_count, 3);
         assert_eq!(s.columns[2].null_count, 1);
+    }
+
+    #[test]
+    fn each_file_keeps_its_own_statistics() {
+        // Files are immutable once loaded; adding another file is the only
+        // write, and it leaves the first file's statistics alone.
+        let c = setup()
+            .add_file("more", "id\n1\n1\n", ',', &[DataType::Int])
+            .unwrap();
+        assert_eq!(c.statistics("payments").unwrap().row_count, 3);
+        let s = c.statistics("more").unwrap();
+        assert_eq!((s.row_count, s.columns[0].ndv), (2, 1));
     }
 }

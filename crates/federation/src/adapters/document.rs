@@ -5,10 +5,12 @@
 //! projection run wrapper-side, which still counts as source-site work for
 //! the network — the wrapper is co-located with the store.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use eii_data::{DataType, EiiError, Result, Schema, SchemaRef};
+use parking_lot::Mutex;
+
+use eii_data::{Batch, DataType, EiiError, Result, Schema, SchemaRef};
 use eii_docstore::DocStore;
 use eii_storage::TableStats;
 
@@ -31,6 +33,11 @@ pub struct DocumentConnector {
     name: String,
     store: DocStore,
     tables: BTreeMap<String, VirtualTable>,
+    /// Per virtual table: statistics and the store generation they were
+    /// computed at. Writes can reach the store without passing through
+    /// this connector, so the generation, not a write hook, decides when
+    /// an entry is stale.
+    stats: Mutex<HashMap<String, (u64, TableStats)>>,
 }
 
 impl DocumentConnector {
@@ -40,11 +47,13 @@ impl DocumentConnector {
             name: name.into(),
             store,
             tables: BTreeMap::new(),
+            stats: Mutex::new(HashMap::new()),
         }
     }
 
     /// Define a virtual table (client-side schema imposition).
     pub fn define_table(mut self, vt: VirtualTable) -> Self {
+        self.stats.get_mut().remove(&vt.name);
         self.tables.insert(vt.name.clone(), vt);
         self
     }
@@ -58,6 +67,16 @@ impl DocumentConnector {
         self.tables.get(name).ok_or_else(|| {
             EiiError::NotFound(format!("virtual table {name} in source {}", self.name))
         })
+    }
+
+    /// Extract a virtual table's rows from the store (schema on read).
+    fn extract(&self, vt: &VirtualTable) -> Result<Batch> {
+        let cols: Vec<(&str, &str, DataType)> = vt
+            .columns
+            .iter()
+            .map(|(n, p, ty)| (n.as_str(), p.as_str(), *ty))
+            .collect();
+        self.store.extract(&cols)
     }
 }
 
@@ -92,26 +111,26 @@ impl Connector for DocumentConnector {
 
     fn statistics(&self, table: &str) -> Result<TableStats> {
         let vt = self.table(table)?;
-        let cols: Vec<(&str, &str, DataType)> = vt
-            .columns
-            .iter()
-            .map(|(n, p, ty)| (n.as_str(), p.as_str(), *ty))
-            .collect();
-        let batch = self.store.extract(&cols)?;
-        Ok(TableStats::analyze(
-            batch.schema().len(),
-            batch.rows().iter(),
-        ))
+        // Read the generation before extracting: a write racing the
+        // extraction then leaves the entry tagged older than its rows,
+        // which costs one recomputation, never a stale answer.
+        let generation = self.store.generation();
+        if let Some((seen, stats)) = self.stats.lock().get(table) {
+            if *seen == generation {
+                return Ok(stats.clone());
+            }
+        }
+        let batch = self.extract(vt)?;
+        let stats = TableStats::analyze(batch.schema().len(), batch.rows().iter());
+        self.stats
+            .lock()
+            .insert(table.to_string(), (generation, stats.clone()));
+        Ok(stats)
     }
 
     fn execute(&self, query: &SourceQuery) -> Result<SourceAnswer> {
         let vt = self.table(&query.table)?;
-        let cols: Vec<(&str, &str, DataType)> = vt
-            .columns
-            .iter()
-            .map(|(n, p, ty)| (n.as_str(), p.as_str(), *ty))
-            .collect();
-        let extracted = self.store.extract(&cols)?;
+        let extracted = self.extract(vt)?;
         let schema = extracted.schema().clone();
         let scanned = extracted.num_rows();
         let batch = apply_query_locally(
@@ -192,6 +211,28 @@ mod tests {
         let s = c.statistics("tickets").unwrap();
         assert_eq!(s.row_count, 2);
         assert_eq!(s.columns[1].ndv, 2);
+    }
+
+    #[test]
+    fn statistics_follow_store_writes_made_elsewhere() {
+        let c = setup();
+        assert_eq!(c.statistics("tickets").unwrap().row_count, 2);
+        // Another handle on the same store, as a loader outside the
+        // federation would hold.
+        let store = c.store().clone();
+        let id = store.insert(Document::from_records(
+            "tickets week 2",
+            &[vec![
+                ("ticket_id", "102".into()),
+                ("customer", "carol".into()),
+                ("severity", "2".into()),
+            ]],
+        ));
+        let s = c.statistics("tickets").unwrap();
+        assert_eq!((s.row_count, s.columns[1].ndv), (3, 3), "after insert");
+        assert!(store.remove(id));
+        let s = c.statistics("tickets").unwrap();
+        assert_eq!((s.row_count, s.columns[1].ndv), (2, 2), "after remove");
     }
 
     #[test]

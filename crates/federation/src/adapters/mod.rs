@@ -7,6 +7,7 @@ pub mod webservice;
 
 use eii_data::{Batch, EiiError, Result, Row, SchemaRef, Value};
 use eii_expr::{bind, Expr};
+use eii_storage::KeySet;
 
 /// Shared helper: apply a component query's filters, bindings, projection,
 /// and limit to rows already materialized at the wrapper. Used by adapters
@@ -25,13 +26,13 @@ pub(crate) fn apply_query_locally(
         .collect::<Result<Vec<_>>>()?;
     let binding_cols = bindings
         .iter()
-        .map(|(col, vals)| Ok((schema.index_of(None, col)?, vals)))
+        .map(|(col, vals)| Ok((schema.index_of(None, col)?, KeySet::new(vals))))
         .collect::<Result<Vec<_>>>()?;
     let mut out = Vec::new();
     for row in rows {
         let mut keep = true;
-        for (col, vals) in &binding_cols {
-            if !vals.contains(row.get(*col)) {
+        for (col, keys) in &binding_cols {
+            if !keys.contains(row.get(*col)) {
                 keep = false;
                 break;
             }

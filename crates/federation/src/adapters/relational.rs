@@ -73,7 +73,7 @@ impl Connector for RelationalConnector {
     }
 
     fn statistics(&self, table: &str) -> Result<TableStats> {
-        Ok(self.db.table(table)?.write().stats().clone())
+        Ok(self.db.table(table)?.read().stats().clone())
     }
 
     fn execute(&self, query: &SourceQuery) -> Result<SourceAnswer> {
@@ -99,15 +99,13 @@ impl Connector for RelationalConnector {
         let t = handle.read();
         let schema = t.schema().clone();
 
-        // Choose the cheapest access path: a single equality binding with
-        // few values uses point lookups; otherwise scan.
+        // Choose the access path: a single equality binding is one
+        // multi-key lookup (index probes, or one pass over the table);
+        // otherwise scan.
         let (candidate_rows, rows_scanned) = match query.bindings.as_slice() {
             [(col, vals)] => {
                 let col_idx = schema.index_of(None, col)?;
-                let mut rows = Vec::new();
-                for v in vals {
-                    rows.extend(t.lookup_eq(col_idx, v));
-                }
+                let rows = t.lookup_in(col_idx, vals);
                 let scanned = rows.len();
                 (rows, scanned)
             }
@@ -388,5 +386,89 @@ mod tests {
         let s = c.statistics("customers").unwrap();
         assert_eq!(s.row_count, 3);
         assert_eq!(s.columns[2].ndv, 2);
+    }
+
+    #[test]
+    fn statistics_follow_every_kind_of_write() {
+        let c = setup();
+        assert_eq!(c.statistics("customers").unwrap().row_count, 3);
+        c.update(&UpdateOp::Insert {
+            table: "customers".into(),
+            row: row![4i64, "dave", "north"],
+        })
+        .unwrap();
+        let s = c.statistics("customers").unwrap();
+        assert_eq!((s.row_count, s.columns[2].ndv), (4, 3), "after insert");
+        c.update(&UpdateOp::UpdateByKey {
+            table: "customers".into(),
+            key: Value::Int(4),
+            assignments: vec![("region".into(), Value::str("west"))],
+        })
+        .unwrap();
+        assert_eq!(
+            c.statistics("customers").unwrap().columns[2].ndv,
+            2,
+            "after update"
+        );
+        c.update(&UpdateOp::DeleteByKey {
+            table: "customers".into(),
+            key: Value::Int(2),
+        })
+        .unwrap();
+        let s = c.statistics("customers").unwrap();
+        assert_eq!((s.row_count, s.columns[2].ndv), (3, 1), "after delete");
+        // A write straight to the table, bypassing the connector.
+        c.database()
+            .table("customers")
+            .unwrap()
+            .write()
+            .insert(row![5i64, "erin", "south"])
+            .unwrap();
+        assert_eq!(
+            c.statistics("customers").unwrap().row_count,
+            4,
+            "after a direct write"
+        );
+    }
+
+    #[test]
+    fn statistics_do_not_wait_for_readers() {
+        let c = Arc::new(setup());
+        let handle = c.database().table("customers").unwrap();
+        let guard = handle.read();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = Arc::clone(&c);
+        let planner = std::thread::spawn(move || {
+            tx.send(reader.statistics("customers").map(|s| s.row_count))
+                .expect("test thread waits for the answer");
+        });
+        // A timeout, not a join, so that a statistics call that blocks on
+        // the held guard fails the test instead of hanging it.
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("statistics returned while a read guard was held");
+        assert_eq!(got.unwrap(), 3);
+        drop(guard);
+        planner.join().expect("statistics thread finished");
+    }
+
+    #[test]
+    fn unindexed_binding_fetch_keeps_binding_order() {
+        let c = setup();
+        let q = SourceQuery {
+            table: "customers".into(),
+            projection: Some(vec!["name".into()]),
+            filters: vec![],
+            bindings: vec![(
+                "region".into(),
+                vec![Value::str("east"), Value::str("west"), Value::str("east")],
+            )],
+            limit: None,
+        };
+        let ans = c.execute(&q).unwrap();
+        let names: Vec<Value> = ans.batch.rows().iter().map(|r| r.get(0).clone()).collect();
+        let expected = ["bob", "alice", "carol", "bob"].map(Value::str).to_vec();
+        assert_eq!(names, expected);
+        assert_eq!(ans.rows_scanned, 4, "rows_scanned counts the rows returned");
     }
 }

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use eii_data::{EiiError, Result, Row, SchemaRef, Value};
+use eii_data::{EiiError, Result, SchemaRef, Value};
 use eii_storage::{Database, TableStats};
 
 use crate::adapters::{apply_query_locally, project_batch};
@@ -123,12 +123,9 @@ impl Connector for WebServiceConnector {
                     )));
                 };
                 let col_idx = schema.index_of(None, col)?;
-                let mut rows: Vec<Row> = Vec::new();
                 // One call per bound value.
                 let calls = values.len().max(1);
-                for v in values {
-                    rows.extend(t.lookup_eq(col_idx, v));
-                }
+                let rows = t.lookup_in(col_idx, values);
                 let scanned = rows.len();
                 drop(t);
                 // Apply any *other* bindings locally, then project.
@@ -213,6 +210,50 @@ mod tests {
         let caps = c.capabilities();
         let p = caps.pattern_for("orders").unwrap();
         assert_eq!(p.required_columns, vec!["customer_id"]);
+    }
+
+    #[test]
+    fn statistics_follow_backing_writes() {
+        let c = setup();
+        assert_eq!(c.statistics("orders").unwrap().row_count, 10);
+        let handle = c.database().table("orders").unwrap();
+        handle.write().insert(row![10i64, 1i64, 5.0]).unwrap();
+        assert_eq!(
+            c.statistics("orders").unwrap().row_count,
+            11,
+            "after insert"
+        );
+        handle.write().delete_by_pk(&Value::Int(0));
+        assert_eq!(
+            c.statistics("orders").unwrap().row_count,
+            10,
+            "after delete"
+        );
+    }
+
+    #[test]
+    fn unindexed_required_binding_keeps_binding_order() {
+        let db = Database::new("svc", SimClock::new());
+        let schema = Arc::new(Schema::new(vec![
+            Field::new("id", DataType::Int).not_null(),
+            Field::new("owner", DataType::Int),
+        ]));
+        let t = db
+            .create_table(TableDef::new("items", schema).with_primary_key(0))
+            .unwrap();
+        for (id, owner) in [(0i64, 2i64), (1, 1), (2, 2), (3, 1)] {
+            t.write().insert(row![id, owner]).unwrap();
+        }
+        let c = WebServiceConnector::new("svc", db).require_binding("items", "owner");
+        let q = SourceQuery {
+            table: "items".into(),
+            bindings: vec![("owner".into(), vec![Value::Int(1), Value::Int(2)])],
+            ..SourceQuery::default()
+        };
+        let ans = c.execute(&q).unwrap();
+        let ids: Vec<Value> = ans.batch.rows().iter().map(|r| r.get(0).clone()).collect();
+        assert_eq!(ids, [1i64, 3, 0, 2].map(Value::Int).to_vec());
+        assert_eq!((ans.calls, ans.rows_scanned), (2, 4));
     }
 
     #[test]

@@ -141,6 +141,13 @@ pub trait Connector: Send + Sync {
     fn dialect(&self) -> Dialect;
 
     /// Statistics for the cost model. Default: unknown (empty) stats.
+    ///
+    /// The planner calls this for every table of every statement it plans,
+    /// so it must be cheap once per table version: compute the statistics
+    /// at most once per version of the data and answer later calls from
+    /// that result, invalidated by the source's own writes (and by writes
+    /// that reach its data without passing through this connector).
+    /// Nothing above the connector caches them.
     fn statistics(&self, _table: &str) -> Result<TableStats> {
         Ok(TableStats::default())
     }

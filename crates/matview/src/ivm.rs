@@ -56,11 +56,11 @@ pub fn changes_to_delta(changes: &[Change]) -> Vec<(Row, i64)> {
     let mut out = Vec::with_capacity(changes.len());
     for change in changes {
         match &change.op {
-            ChangeOp::Insert { new } => out.push((new.clone(), 1)),
-            ChangeOp::Delete { old } => out.push((old.clone(), -1)),
+            ChangeOp::Insert { new } => out.push((Row::clone(new), 1)),
+            ChangeOp::Delete { old } => out.push((Row::clone(old), -1)),
             ChangeOp::Update { old, new } => {
-                out.push((old.clone(), -1));
-                out.push((new.clone(), 1));
+                out.push((Row::clone(old), -1));
+                out.push((Row::clone(new), 1));
             }
         }
     }

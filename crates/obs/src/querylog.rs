@@ -11,7 +11,12 @@
 //!   order-independent, so same-seed concurrent runs produce bit-identical
 //!   aggregate tables (E18's determinism gate) and
 //!   [`QueryLog::top_k`] gives exact workload rankings for the future
-//!   matview advisor.
+//!   matview advisor. The map holds at most `capacity` fingerprints (the
+//!   ring's bound): a new fingerprint arriving at a full map evicts the
+//!   one with the lowest count, the least recently updated among equal
+//!   counts. So aggregates are exact while the workload has at most
+//!   `capacity` distinct fingerprints; past that, a literal-per-statement
+//!   workload keeps the log's memory flat instead of growing forever.
 //! * **Records** are sampled into a bounded ring: every
 //!   `sample_every`-th occurrence of a fingerprint is kept
 //!   (deterministic — a function of the per-fingerprint sequence number,
@@ -19,7 +24,7 @@
 //!   cancelled, hedged, deadline-bound) are always kept so rare failures
 //!   survive sampling.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use serde::Serialize;
@@ -208,12 +213,24 @@ pub enum WorkloadKey {
     Errors,
 }
 
+/// A fingerprint's aggregate plus when it was last updated, in
+/// statements seen (the eviction tie-break).
+#[derive(Debug)]
+struct Tracked {
+    stats: FingerprintStats,
+    last_seen: u64,
+}
+
 #[derive(Debug, Default)]
 struct LogInner {
     ring: VecDeque<QueryLogRecord>,
-    stats: BTreeMap<u64, FingerprintStats>,
+    stats: BTreeMap<u64, Tracked>,
+    /// Eviction order over `stats`: `(count, last_seen, fingerprint)`, so
+    /// the first entry is the lowest count, least recently updated.
+    order: BTreeSet<(u64, u64, u64)>,
     seen: u64,
     kept: u64,
+    evicted: u64,
 }
 
 /// Bounded, sampled, thread-safe workload log. Cloning shares the ring.
@@ -231,8 +248,9 @@ impl Default for QueryLog {
 }
 
 impl QueryLog {
-    /// A log retaining at most `capacity` sampled records, keeping every
-    /// `sample_every`-th occurrence of each fingerprint (1 = keep all).
+    /// A log retaining at most `capacity` sampled records and `capacity`
+    /// per-fingerprint aggregates, keeping every `sample_every`-th
+    /// occurrence of each fingerprint (1 = keep all).
     pub fn new(capacity: usize, sample_every: u64) -> Self {
         QueryLog {
             inner: Arc::new(Mutex::new(LogInner::default())),
@@ -245,18 +263,40 @@ impl QueryLog {
     /// retained when its per-fingerprint sequence number samples in or the
     /// outcome is noteworthy (error / hedge / shed / cancel / deadline).
     pub fn record(&self, record: QueryLogRecord) {
-        let mut inner = self.inner.lock().expect("query log poisoned");
+        let mut guard = self.inner.lock().expect("query log poisoned");
+        let inner = &mut *guard;
         inner.seen += 1;
-        let stats = inner
+        let now = inner.seen;
+        match inner.stats.get(&record.fingerprint) {
+            Some(t) => {
+                inner
+                    .order
+                    .remove(&(t.stats.count, t.last_seen, record.fingerprint));
+            }
+            None if inner.stats.len() >= self.capacity => {
+                if let Some((_, _, victim)) = inner.order.pop_first() {
+                    inner.stats.remove(&victim);
+                    inner.evicted += 1;
+                }
+            }
+            None => {}
+        }
+        let tracked = inner
             .stats
             .entry(record.fingerprint)
-            .or_insert_with(|| FingerprintStats {
-                fingerprint: record.fingerprint,
-                plan: record.plan.clone(),
-                sql: record.sql.clone(),
-                ..FingerprintStats::default()
+            .or_insert_with(|| Tracked {
+                stats: FingerprintStats {
+                    fingerprint: record.fingerprint,
+                    plan: record.plan.clone(),
+                    sql: record.sql.clone(),
+                    ..FingerprintStats::default()
+                },
+                last_seen: now,
             });
+        tracked.last_seen = now;
+        let stats = &mut tracked.stats;
         stats.count += 1;
+        inner.order.insert((stats.count, now, record.fingerprint));
         stats.total_sim_ms += record.sim_ms;
         if record.sim_ms > stats.max_sim_ms {
             stats.max_sim_ms = record.sim_ms;
@@ -309,6 +349,12 @@ impl QueryLog {
         self.inner.lock().expect("query log poisoned").kept
     }
 
+    /// Fingerprint aggregates dropped to keep the map within `capacity`.
+    /// While this is zero every aggregate is exact.
+    pub fn evicted(&self) -> u64 {
+        self.inner.lock().expect("query log poisoned").evicted
+    }
+
     /// Sampled records, oldest first.
     pub fn records(&self) -> Vec<QueryLogRecord> {
         let inner = self.inner.lock().expect("query log poisoned");
@@ -324,20 +370,25 @@ impl QueryLog {
     /// Exact aggregate for one fingerprint.
     pub fn stats(&self, fingerprint: u64) -> Option<FingerprintStats> {
         let inner = self.inner.lock().expect("query log poisoned");
-        inner.stats.get(&fingerprint).cloned()
+        inner.stats.get(&fingerprint).map(|t| t.stats.clone())
     }
 
     /// Sorted `(fingerprint, count)` pairs over the whole workload — the
     /// order-independent digest compared across same-seed runs in E18.
     pub fn fingerprints(&self) -> Vec<(u64, u64)> {
         let inner = self.inner.lock().expect("query log poisoned");
-        inner.stats.values().map(|s| (s.fingerprint, s.count)).collect()
+        inner
+            .stats
+            .values()
+            .map(|t| (t.stats.fingerprint, t.stats.count))
+            .collect()
     }
 
     /// Top-`k` fingerprints by `key`, descending, fingerprint tie-break.
     pub fn top_k(&self, k: usize, key: WorkloadKey) -> Vec<FingerprintStats> {
         let inner = self.inner.lock().expect("query log poisoned");
-        let mut all: Vec<FingerprintStats> = inner.stats.values().cloned().collect();
+        let mut all: Vec<FingerprintStats> =
+            inner.stats.values().map(|t| t.stats.clone()).collect();
         drop(inner);
         all.sort_by(|a, b| {
             let (wa, wb) = match key {
@@ -481,6 +532,31 @@ mod tests {
         assert!(digest[0].0 < digest[1].0);
         let counts: u64 = digest.iter().map(|(_, c)| c).sum();
         assert_eq!(counts, 8, "aggregates unaffected by sampling/eviction");
+    }
+
+    #[test]
+    fn aggregate_map_is_bounded_by_capacity() {
+        let log = QueryLog::new(3, 1);
+        for _ in 0..3 {
+            log.record(record("hot", 1, 1.0));
+        }
+        log.record(record("a", 1, 1.0));
+        log.record(record("b", 1, 1.0));
+        assert_eq!(log.evicted(), 0, "exact while fingerprints <= capacity");
+        // A fourth fingerprint evicts the lowest count, and among the tied
+        // count-1 entries the least recently updated: `a`.
+        log.record(record("c", 1, 1.0));
+        assert_eq!(log.evicted(), 1);
+        assert!(log.stats(fingerprint64("a")).is_none());
+        assert_eq!(log.stats(fingerprint64("hot")).unwrap().count, 3);
+        // Touching `b` makes `c` the older of the two count-1 entries.
+        log.record(record("b", 1, 1.0));
+        log.record(record("d", 1, 1.0));
+        assert!(log.stats(fingerprint64("c")).is_none());
+        assert_eq!(log.stats(fingerprint64("b")).unwrap().count, 2);
+        assert_eq!(log.fingerprints().len(), 3);
+        assert_eq!(log.evicted(), 2);
+        assert_eq!(log.seen(), 8, "every statement is still seen");
     }
 
     #[test]

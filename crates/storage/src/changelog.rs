@@ -5,15 +5,19 @@
 //! what changed since the last refresh) and the materialized-view refresher
 //! both read from this log; the EAI engine's change-notification channel is
 //! built on it too.
+//!
+//! Logged rows are [`RowRef`]s shared with the table that wrote them, so
+//! logging a write copies no values, and reading the log (`since(..)
+//! .to_vec()`) only bumps reference counts.
 
-use eii_data::Row;
+use eii_data::RowRef;
 
 /// What happened to a row.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChangeOp {
-    Insert { new: Row },
-    Update { old: Row, new: Row },
-    Delete { old: Row },
+    Insert { new: RowRef },
+    Update { old: RowRef, new: RowRef },
+    Delete { old: RowRef },
 }
 
 /// A logged change.
@@ -79,11 +83,25 @@ mod tests {
     use super::*;
     use eii_data::row;
 
+    fn logged(row: eii_data::Row) -> RowRef {
+        RowRef::new(row)
+    }
+
     #[test]
     fn sequences_are_dense_and_monotonic() {
         let mut log = ChangeLog::new();
-        let s1 = log.append(0, ChangeOp::Insert { new: row![1i64] });
-        let s2 = log.append(5, ChangeOp::Delete { old: row![1i64] });
+        let s1 = log.append(
+            0,
+            ChangeOp::Insert {
+                new: logged(row![1i64]),
+            },
+        );
+        let s2 = log.append(
+            5,
+            ChangeOp::Delete {
+                old: logged(row![1i64]),
+            },
+        );
         assert_eq!((s1, s2), (1, 2));
         assert_eq!(log.high_watermark(), 2);
     }
@@ -92,7 +110,12 @@ mod tests {
     fn since_returns_suffix() {
         let mut log = ChangeLog::new();
         for i in 0..5i64 {
-            log.append(i, ChangeOp::Insert { new: row![i] });
+            log.append(
+                i,
+                ChangeOp::Insert {
+                    new: logged(row![i]),
+                },
+            );
         }
         assert_eq!(log.since(0).len(), 5);
         assert_eq!(log.since(3).len(), 2);

@@ -15,11 +15,13 @@
 pub mod changelog;
 pub mod database;
 pub mod index;
+pub mod keys;
 pub mod stats;
 pub mod table;
 
 pub use changelog::{Change, ChangeLog, ChangeOp};
 pub use database::Database;
 pub use index::{HashIndex, OrderedIndex};
+pub use keys::KeySet;
 pub use stats::{ColumnStats, TableStats};
 pub use table::{RowId, Table, TableDef};

@@ -2,11 +2,13 @@
 //! log, and cached statistics.
 
 use std::ops::Bound;
+use std::sync::OnceLock;
 
-use eii_data::{EiiError, Result, Row, SchemaRef, SimClock, Value};
+use eii_data::{EiiError, Result, Row, RowRef, SchemaRef, SimClock, Value};
 
 use crate::changelog::{ChangeLog, ChangeOp};
 use crate::index::{HashIndex, OrderedIndex};
+use crate::keys::KeySet;
 use crate::stats::TableStats;
 
 /// Identifies a row slot within a table. Stable across unrelated mutations,
@@ -43,7 +45,8 @@ impl TableDef {
 #[derive(Debug)]
 pub struct Table {
     def: TableDef,
-    slots: Vec<Option<Row>>,
+    /// Live rows, shared with the change log entries that wrote them.
+    slots: Vec<Option<RowRef>>,
     free: Vec<RowId>,
     live: usize,
     pk_index: Option<HashIndex>,
@@ -51,7 +54,23 @@ pub struct Table {
     ordered_indexes: Vec<OrderedIndex>,
     log: ChangeLog,
     clock: SimClock,
-    stats_cache: Option<TableStats>,
+    /// Statistics of the current table version; reset by every mutation.
+    stats_cache: OnceLock<TableStats>,
+}
+
+/// The index an equality lookup on one column can use.
+enum ColumnIndex<'t> {
+    Hash(&'t HashIndex),
+    Ordered(&'t OrderedIndex),
+}
+
+impl ColumnIndex<'_> {
+    fn get(&self, key: &Value) -> &[RowId] {
+        match self {
+            ColumnIndex::Hash(ix) => ix.get(key),
+            ColumnIndex::Ordered(ix) => ix.get(key),
+        }
+    }
 }
 
 impl Table {
@@ -68,7 +87,7 @@ impl Table {
             ordered_indexes: Vec::new(),
             log: ChangeLog::new(),
             clock,
-            stats_cache: None,
+            stats_cache: OnceLock::new(),
         }
     }
 
@@ -134,19 +153,20 @@ impl Table {
                 )));
             }
         }
+        let row = RowRef::new(row);
         let rid = match self.free.pop() {
             Some(rid) => {
-                self.slots[rid] = Some(row.clone());
+                self.slots[rid] = Some(RowRef::clone(&row));
                 rid
             }
             None => {
-                self.slots.push(Some(row.clone()));
+                self.slots.push(Some(RowRef::clone(&row)));
                 self.slots.len() - 1
             }
         };
         self.index_row(rid, &row);
         self.live += 1;
-        self.stats_cache = None;
+        self.stats_cache.take();
         self.log
             .append(self.clock.now_ms(), ChangeOp::Insert { new: row });
         Ok(rid)
@@ -188,7 +208,7 @@ impl Table {
 
     /// Fetch a live row by id.
     pub fn get(&self, rid: RowId) -> Option<&Row> {
-        self.slots.get(rid).and_then(Option::as_ref)
+        self.slots.get(rid).and_then(Option::as_deref)
     }
 
     /// Look the row up by primary key (requires a primary key).
@@ -201,11 +221,11 @@ impl Table {
     /// Update selected columns of the row with the given primary key.
     /// Returns true when a row was updated.
     pub fn update_by_pk(&mut self, key: &Value, assignments: &[(usize, Value)]) -> Result<bool> {
-        let Some((rid, old)) = self.get_by_pk(key) else {
+        let Some((rid, _)) = self.get_by_pk(key) else {
             return Ok(false);
         };
-        let old = old.clone();
-        let mut new = old.clone();
+        let old = RowRef::clone(self.slots[rid].as_ref().expect("indexed row is live"));
+        let mut new = Row::clone(&old);
         for (col, v) in assignments {
             new.set(*col, v.clone());
         }
@@ -226,10 +246,11 @@ impl Table {
                 }
             }
         }
+        let new = RowRef::new(new);
         self.unindex_row(rid, &old);
-        self.slots[rid] = Some(new.clone());
+        self.slots[rid] = Some(RowRef::clone(&new));
         self.index_row(rid, &new);
-        self.stats_cache = None;
+        self.stats_cache.take();
         self.log
             .append(self.clock.now_ms(), ChangeOp::Update { old, new });
         Ok(true)
@@ -252,7 +273,7 @@ impl Table {
         self.unindex_row(rid, &row);
         self.free.push(rid);
         self.live -= 1;
-        self.stats_cache = None;
+        self.stats_cache.take();
         self.log
             .append(self.clock.now_ms(), ChangeOp::Delete { old: row });
         true
@@ -282,7 +303,7 @@ impl Table {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(rid, s)| s.as_ref().map(|r| (rid, r)))
+            .filter_map(|(rid, s)| s.as_deref().map(|r| (rid, r)))
     }
 
     /// Full scan with a row predicate, cloning matching rows.
@@ -298,20 +319,55 @@ impl Table {
         self.scan(|_| true)
     }
 
-    /// Equality lookup, index-assisted when an index on `col` exists.
-    pub fn lookup_eq(&self, col: usize, key: &Value) -> Vec<Row> {
-        if let Some(ix) = &self.pk_index {
-            if ix.column == col {
-                return ix.get(key).iter().filter_map(|&rid| self.get(rid)).cloned().collect();
-            }
+    /// The index an equality lookup on `col` uses: the primary key, then a
+    /// hash index, then an ordered index.
+    fn index_on(&self, col: usize) -> Option<ColumnIndex<'_>> {
+        if let Some(ix) = self.pk_index.as_ref().filter(|ix| ix.column == col) {
+            return Some(ColumnIndex::Hash(ix));
         }
         if let Some(ix) = self.hash_indexes.iter().find(|ix| ix.column == col) {
-            return ix.get(key).iter().filter_map(|&rid| self.get(rid)).cloned().collect();
+            return Some(ColumnIndex::Hash(ix));
         }
-        if let Some(ix) = self.ordered_indexes.iter().find(|ix| ix.column == col) {
-            return ix.get(key).iter().filter_map(|&rid| self.get(rid)).cloned().collect();
+        self.ordered_indexes
+            .iter()
+            .find(|ix| ix.column == col)
+            .map(ColumnIndex::Ordered)
+    }
+
+    fn rows_at<'r>(&self, rids: impl IntoIterator<Item = &'r RowId>) -> Vec<Row> {
+        rids.into_iter()
+            .filter_map(|&rid| self.get(rid))
+            .cloned()
+            .collect()
+    }
+
+    /// Equality lookup, index-assisted when an index on `col` exists.
+    pub fn lookup_eq(&self, col: usize, key: &Value) -> Vec<Row> {
+        match self.index_on(col) {
+            Some(ix) => self.rows_at(ix.get(key)),
+            None => self.scan(|r| r.get(col) == key),
         }
-        self.scan(|r| r.get(col) == key)
+    }
+
+    /// Multi-key equality lookup (a bind-join batch, an `IN` list). Returns
+    /// exactly the rows of [`Table::lookup_eq`] called once per key and
+    /// concatenated, in the same order: grouped by key in `keys` order
+    /// (a repeated key repeats its rows), in index or table order within a
+    /// key. With an index on `col` that is one index probe per key; without
+    /// one it is a single pass over the table, O(rows + keys) rather than a
+    /// scan per key.
+    pub fn lookup_in(&self, col: usize, keys: &[Value]) -> Vec<Row> {
+        if let Some(ix) = self.index_on(col) {
+            return self.rows_at(keys.iter().flat_map(|k| ix.get(k)));
+        }
+        let set = KeySet::new(keys);
+        let mut buckets: Vec<Vec<RowId>> = vec![Vec::new(); set.distinct_len()];
+        for (rid, row) in self.iter() {
+            for k in set.matches(row.get(col)) {
+                buckets[k].push(rid);
+            }
+        }
+        self.rows_at(set.positions().iter().flat_map(|&k| &buckets[k]))
     }
 
     /// Range lookup on `col`, index-assisted when an ordered index exists.
@@ -355,7 +411,7 @@ impl Table {
             .slots
             .iter()
             .enumerate()
-            .filter_map(|(rid, s)| s.as_ref().map(|r| (rid, r)))
+            .filter_map(|(rid, s)| s.as_deref().map(|r| (rid, r)))
         {
             ix.insert(row.get(col).clone(), rid);
         }
@@ -372,22 +428,20 @@ impl Table {
             .slots
             .iter()
             .enumerate()
-            .filter_map(|(rid, s)| s.as_ref().map(|r| (rid, r)))
+            .filter_map(|(rid, s)| s.as_deref().map(|r| (rid, r)))
         {
             ix.insert(row.get(col).clone(), rid);
         }
         self.ordered_indexes.push(ix);
     }
 
-    /// Table statistics (computed on demand, cached until the next
-    /// mutation).
-    pub fn stats(&mut self) -> &TableStats {
-        if self.stats_cache.is_none() {
-            let width = self.def.schema.len();
-            let stats = TableStats::analyze(width, self.iter().map(|(_, r)| r));
-            self.stats_cache = Some(stats);
-        }
-        self.stats_cache.as_ref().expect("just computed")
+    /// Table statistics, computed at most once per table version: the
+    /// first call after a mutation analyzes the rows, later calls return
+    /// the cached result. Needs only shared access, so readers of the
+    /// table never block each other to plan.
+    pub fn stats(&self) -> &TableStats {
+        self.stats_cache
+            .get_or_init(|| TableStats::analyze(self.def.schema.len(), self.iter().map(|(_, r)| r)))
     }
 }
 
@@ -527,6 +581,119 @@ mod tests {
         assert_eq!(t.stats().row_count, 1);
         t.insert(row![2i64, "b", 0.0]).unwrap();
         assert_eq!(t.stats().row_count, 2, "cache invalidated by insert");
+        assert_eq!(t.stats().columns[1].ndv, 2);
+        t.update_by_pk(&Value::Int(2), &[(1, Value::str("a"))])
+            .unwrap();
+        assert_eq!(t.stats().columns[1].ndv, 1, "cache invalidated by update");
+        t.delete_by_pk(&Value::Int(1));
+        assert_eq!(t.stats().row_count, 1, "cache invalidated by delete");
+    }
+
+    #[test]
+    fn stats_are_computed_once_per_version() {
+        let mut t = table();
+        t.insert(row![1i64, "a", 0.0]).unwrap();
+        let first: *const TableStats = t.stats();
+        assert!(
+            std::ptr::eq(first, t.stats()),
+            "second read reuses the cache"
+        );
+    }
+
+    #[test]
+    fn lookup_in_groups_rows_by_key_order() {
+        let mut t = table();
+        for (i, name) in ["x", "y", "x", "z", "y"].iter().enumerate() {
+            t.insert(row![i as i64, *name, 0.0]).unwrap();
+        }
+        let keys = [
+            Value::str("y"),
+            Value::str("w"),
+            Value::str("x"),
+            Value::str("y"),
+        ];
+        let ids =
+            |rows: Vec<Row>| -> Vec<Value> { rows.iter().map(|r| r.get(0).clone()).collect() };
+        let expected = [1i64, 4, 0, 2, 1, 4].map(Value::Int).to_vec();
+        assert_eq!(ids(t.lookup_in(1, &keys)), expected, "scan path");
+        t.create_hash_index(1);
+        assert_eq!(ids(t.lookup_in(1, &keys)), expected, "index path");
+    }
+
+    mod lookup_in_property {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// `id` (primary key), `k` (nullable Int), `f` (nullable Float).
+        fn numeric_table() -> Table {
+            let schema = Arc::new(Schema::new(vec![
+                Field::new("id", DataType::Int).not_null(),
+                Field::new("k", DataType::Int),
+                Field::new("f", DataType::Float),
+            ]));
+            Table::new(
+                TableDef::new("t", schema).with_primary_key(0),
+                SimClock::new(),
+            )
+        }
+
+        fn add_indexes(t: &mut Table, kind: u8) {
+            for col in [1, 2] {
+                match kind {
+                    1 => t.create_hash_index(col),
+                    2 => t.create_ordered_index(col),
+                    _ => {}
+                }
+            }
+        }
+
+        /// Keys over a small domain so they hit duplicates, NULLs and
+        /// Int/Float pairs that compare equal (`2` and `2.0`).
+        fn key() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                Just(Value::Null),
+                (0i64..6).prop_map(Value::Int),
+                (0i64..6).prop_map(|i| Value::Float(i as f64)),
+                Just(Value::Float(2.5)),
+                Just(Value::str("2")),
+            ]
+        }
+
+        proptest! {
+            #[test]
+            fn lookup_in_equals_the_per_key_lookup_eq_loop(
+                ops in vec((0i64..30, 0i64..49, any::<bool>()), 0..80),
+                index_kind in 0u8..3,
+                index_first in any::<bool>(),
+                keys in vec(key(), 0..10),
+            ) {
+                let mut t = numeric_table();
+                if index_first {
+                    add_indexes(&mut t, index_kind);
+                }
+                // Interleaved deletes make later inserts reuse freed slots.
+                for (id, cells, delete) in ops {
+                    if delete {
+                        t.delete_by_pk(&Value::Int(id));
+                    } else {
+                        // `cells` encodes `k` and `f` in base 7; digit 6 is NULL.
+                        let (k, f) = (cells / 7, cells % 7);
+                        let k = if k == 6 { Value::Null } else { Value::Int(k) };
+                        let f = if f == 6 { Value::Null } else { Value::Float(f as f64) };
+                        let _ = t.insert(Row::new(vec![Value::Int(id), k, f]));
+                    }
+                }
+                if !index_first {
+                    add_indexes(&mut t, index_kind);
+                }
+                for col in 0..3 {
+                    let expected: Vec<Row> =
+                        keys.iter().flat_map(|k| t.lookup_eq(col, k)).collect();
+                    prop_assert_eq!(t.lookup_in(col, &keys), expected, "column {}", col);
+                }
+            }
+        }
     }
 
     #[test]

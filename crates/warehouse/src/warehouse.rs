@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use parking_lot::Mutex;
 
-use eii_data::{Batch, EiiError, Result, SimClock, Value};
+use eii_data::{Batch, EiiError, Result, Row, SimClock, Value};
 use eii_federation::{Federation, SourceQuery};
 use eii_storage::{ChangeOp, Database, TableDef};
 
@@ -173,9 +173,7 @@ impl Warehouse {
                 match &change.op {
                     ChangeOp::Insert { new } => {
                         bytes += new.wire_size();
-                        if let Some(row) =
-                            job.transform_row(src_schema.clone(), new.clone())?
-                        {
+                        if let Some(row) = job.transform_row(src_schema.clone(), Row::clone(new))? {
                             // Upsert semantics: a full refresh may already
                             // hold this row.
                             let k = row.get(key_idx).clone();
@@ -189,12 +187,12 @@ impl Warehouse {
                     ChangeOp::Update { old, new } => {
                         bytes += old.wire_size() + new.wire_size();
                         if let Some(old_row) =
-                            job.transform_row(src_schema.clone(), old.clone())?
+                            job.transform_row(src_schema.clone(), Row::clone(old))?
                         {
                             t.delete_by_pk(&old_row.get(key_idx).clone());
                         }
                         if let Some(new_row) =
-                            job.transform_row(src_schema.clone(), new.clone())?
+                            job.transform_row(src_schema.clone(), Row::clone(new))?
                         {
                             let k: Value = new_row.get(key_idx).clone();
                             t.delete_by_pk(&k);
@@ -207,7 +205,7 @@ impl Warehouse {
                     ChangeOp::Delete { old } => {
                         bytes += old.wire_size();
                         if let Some(old_row) =
-                            job.transform_row(src_schema.clone(), old.clone())?
+                            job.transform_row(src_schema.clone(), Row::clone(old))?
                         {
                             t.delete_by_pk(&old_row.get(key_idx).clone());
                             applied += 1;
